@@ -414,9 +414,11 @@ def cmd_study(args) -> int:
         args,
         {"a": 1.0, "p": 1.0, "model_n": 40, "reps": 200, "seed": 0, "out": "."},
     )
-    out = _out_dir(params)
     a0, p0 = float(params["a"]), float(params["p"])
     n, reps, seed = int(params["model_n"]), int(params["reps"]), int(params["seed"])
+    if reps < 2:
+        raise ConfigError(f"study needs at least 2 replicates for a correlation, got {reps}")
+    out = _out_dir(params)
     model = PowerLawModel(a=a0, p=p0, n=n)
 
     rows: list[list] = []

@@ -256,7 +256,7 @@ def extension_dichotomy(
         raise PreconditionViolation("extension dichotomy is defined for kernels on [0,1]")
 
     s_check = np.linspace(0.0, 1.0, 201)
-    scale = float(np.max(np.abs(kernel.matrix(s_check))))
+    scale = float(np.max(np.abs(kernel.grid_matrix(s_check.size - 1))))
     if boundary_tol is None:
         boundary_tol = 1e-6 * max(scale, 1e-300)
     boundary = float(np.max(np.abs(np.asarray(kernel.pair(s_check, np.ones_like(s_check))))))

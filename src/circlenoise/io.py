@@ -48,6 +48,12 @@ def read_path_csv(file: str | Path) -> SamplePath:
         v = np.array([float(r[1]) for r in rows])
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"{file}: malformed row ({exc})") from exc
+    finite = np.isfinite(t) & np.isfinite(v)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ConfigError(
+            f"{file}: non-finite sample in data row {row + 1} ({','.join(rows[row])})"
+        )
     if t.size < 2:
         raise ConfigError(f"{file}: need at least two samples")
     steps = np.diff(t)
@@ -67,7 +73,7 @@ def write_table_csv(header: list[str], rows: list[list], file: str | Path) -> No
 
 
 def write_json(obj, file: str | Path) -> None:
-    Path(file).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(file).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def read_json(file: str | Path):
@@ -93,12 +99,12 @@ def sequence_from_dict(data: dict) -> SpectralSequence:
 
 def kernel_to_dict(kernel: CovarianceKernel, n_points: int = 201) -> dict:
     """Tabulate a kernel on a uniform closed grid for serialization."""
+    if n_points < 2:
+        raise ConfigError(f"a kernel table needs at least two grid points, got {n_points}")
     L = kernel.domain_length
     grid = np.linspace(0.0, L, n_points)
-    if kernel.kind == STATIONARY:
-        values = np.asarray(kernel.evaluate(grid), dtype=float).tolist()
-    else:
-        values = kernel.matrix(grid).tolist()
+    table = kernel.grid_matrix(n_points - 1, closed=True)
+    values = (table[0] if kernel.kind == STATIONARY else table).tolist()
     return {
         "domain_length": L,
         "kind": kernel.kind,

@@ -22,6 +22,13 @@ Quadrature throughout uses the closed trapezoid rule on M + 1 equally
 spaced points of [0, L]; for L-periodic integrands this coincides with the
 M-point periodic rectangle rule and is exact for trigonometric polynomials
 of frequency below M / 2.
+
+A kernel built from coefficients keeps its sequence, so on a uniform grid
+t_i = i L / n it is tabulated from one lag table C(j L / n), j < n, taken
+by a single inverse FFT of the variance weights: a Toeplitz gather of that
+table (minus a rank-one outer product once conditioned) fills the matrix
+in O(n^2) time and memory.  Opaque kernels (closed forms such as the
+Brownian bridge, interpolated tables) are evaluated pointwise.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .errors import AllZeroKernel, NotPositiveDefinite, PreconditionViolation
 
@@ -115,13 +123,16 @@ class CovarianceKernel:
     ``kind`` is "stationary" (``evaluate`` maps a lag tau to C(tau)) or
     "conditioned" (``evaluate`` maps a pair (s, t) to R(s, t)).
     ``grid_resolution`` records the table size when the kernel was built
-    from sampled values rather than a closed form.
+    from sampled values rather than a closed form.  ``spectrum`` is the
+    coefficient sequence the kernel was built from, if any; it lets
+    ``grid_matrix`` tabulate from a lag table instead of pointwise.
     """
 
     evaluate: Callable[..., np.ndarray]
     domain_length: float = 1.0
     kind: str = STATIONARY
     grid_resolution: int | None = None
+    spectrum: SpectralSequence | None = None
 
     def __post_init__(self):
         if self.kind not in (STATIONARY, CONDITIONED):
@@ -143,6 +154,24 @@ class CovarianceKernel:
         """Covariance matrix of the process sampled on ``grid``."""
         g = np.asarray(grid, dtype=float)
         return np.asarray(self.pair(g[:, None], g[None, :]), dtype=float)
+
+    def grid_matrix(self, n: int, closed: bool = True) -> np.ndarray:
+        """Covariance matrix on the uniform grid t_i = i L / n.
+
+        The grid runs over i = 0..n - 1, and on to i = n (t = L) when
+        ``closed``.  A kernel that carries its spectrum is tabulated from
+        ``lag_table`` in O(n^2) time and memory; an opaque kernel goes
+        through ``matrix`` at the points of ``np.linspace(0, L, n + 1)``.
+        """
+        size = n + 1 if closed else n
+        if self.spectrum is None:
+            return self.matrix(np.linspace(0.0, self.domain_length, n + 1)[:size])
+        table = lag_table(self.spectrum, n)
+        profile = table[np.arange(size) % n]
+        R = toeplitz(profile)
+        if self.kind == CONDITIONED:
+            R -= np.outer(profile, profile / table[0])
+        return R
 
     def validate_stationary(self, n_points: int = 257, rtol: float = 1e-8) -> None:
         """Spot-check periodicity and the peak-at-zero property on a grid."""
@@ -187,6 +216,23 @@ def _as_array(x):
     return arr, arr.ndim == 0
 
 
+def lag_table(seq: SpectralSequence, n: int) -> np.ndarray:
+    """Covariogram on the uniform lags: C(j L / n) for j = 0..n - 1.
+
+    One inverse real FFT of the variance weights.  Frequencies at or above
+    n / 2 alias on the grid: k folds onto k mod n, and then onto
+    min(k, n - k) because C is even.
+    """
+    if n < 1:
+        raise ValueError("lag table needs at least one lag")
+    A = seq.variance_weights()
+    k = np.arange(A.size) % n
+    folded = np.bincount(np.minimum(k, n - k), weights=A, minlength=n // 2 + 1)
+    # irfft doubles every bin strictly between 0 and Nyquist
+    folded[1 : (n + 1) // 2] *= 0.5
+    return n * np.fft.irfft(folded, n)
+
+
 def covariogram_from_coeffs(seq: SpectralSequence) -> CovarianceKernel:
     """Closed-form covariogram C(tau) of a coefficient sequence."""
     A = seq.variance_weights()
@@ -198,7 +244,7 @@ def covariogram_from_coeffs(seq: SpectralSequence) -> CovarianceKernel:
         vals = np.cos((2.0 * np.pi / L) * np.multiply.outer(t, k)) @ A
         return float(vals) if scalar else vals
 
-    return CovarianceKernel(evaluate=C, domain_length=L, kind=STATIONARY)
+    return CovarianceKernel(evaluate=C, domain_length=L, kind=STATIONARY, spectrum=seq)
 
 
 def trapezoid_nodes(L: float, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +328,10 @@ def condition_at_zero(kernel: CovarianceKernel) -> CovarianceKernel:
         return float(out) if (s_scalar and t_scalar) else out
 
     return CovarianceKernel(
-        evaluate=R, domain_length=kernel.domain_length, kind=CONDITIONED
+        evaluate=R,
+        domain_length=kernel.domain_length,
+        kind=CONDITIONED,
+        spectrum=kernel.spectrum,
     )
 
 
@@ -299,7 +348,9 @@ def fourier_matrices(kernel: CovarianceKernel, K: int, M: int | None = None) -> 
     """All four Fourier blocks of a kernel up to frequency K.
 
     Uses the closed trapezoid rule with M + 1 points per axis; default
-    M = max(4K, 512).
+    M = max(4K, 512).  The kernel is tabulated once on that grid and
+    multiplied by each weighted basis once; the four blocks share those
+    two products.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -309,16 +360,18 @@ def fourier_matrices(kernel: CovarianceKernel, K: int, M: int | None = None) -> 
         raise PreconditionViolation(f"need M >= 4K for reliable quadrature, got M={M}, K={K}")
 
     L = kernel.domain_length
+    R = kernel.grid_matrix(M, closed=True)
     t, w = trapezoid_nodes(L, M)
-    R = kernel.matrix(t)
     Cb, Sb = basis_matrices(K, t, L)
     Cw = Cb * w
     Sw = Sb * w
 
-    rcc = Cw @ R @ Cw.T
-    rss = Sw @ R @ Sw.T
-    rsc = Sw @ R @ Cw.T
-    rcs = Cw @ R @ Sw.T
+    RC = R @ Cw.T
+    RS = R @ Sw.T
+    rcc = Cw @ RC
+    rss = Sw @ RS
+    rsc = Sw @ RC
+    rcs = Cw @ RS
     return FourierMatrices(
         rcc=rcc, rss=rss, rsc=rsc, rcs=rcs, truncation=K, domain_length=L
     )

@@ -239,9 +239,7 @@ def operator_oracle(kernel: CovarianceKernel, m: int) -> np.ndarray:
     """
     if m < 100:
         raise PreconditionViolation(f"oracle grid too coarse: m={m} < 100")
-    L = kernel.domain_length
-    grid = np.arange(m) * (L / m)
-    R = kernel.matrix(grid)
+    R = kernel.grid_matrix(m, closed=False)
     R = 0.5 * (R + R.T)
     eig = np.linalg.eigvalsh(R) / m
     return np.sort(eig)[::-1]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroKernel, UnderResolved
-from .spectral import SpectralSequence, covariogram_from_coeffs
+from .spectral import SpectralSequence, lag_table
 
 PERIODIC = "periodic"
 ANTIPERIODIC = "antiperiodic"
@@ -173,8 +173,7 @@ def sample_H0(
     if seq.total_variance() == 0.0:
         raise AllZeroKernel("cannot condition an all-zero sequence")
     path = sample_H(seq, N, seed=seed, draw=draw)
-    C = covariogram_from_coeffs(seq).evaluate
-    profile = np.asarray(C(path.grid_points), dtype=float)
+    profile = lag_table(seq, N)
     values = path.values - path.values[0] * profile / profile[0]
     values[0] = 0.0
     K = seq.truncation
@@ -206,7 +205,9 @@ def classify_periodicity(seq: SpectralSequence) -> Periodicity:
     m = int(np.gcd.reduce(support))
     if m >= 2:
         return Periodicity(kind=PERIODIC, divisor=m)
-    # same round-off floor as support(): a c_0 at machine-noise scale is absent
-    if abs(c[0]) <= 1e-12 * float(np.max(np.abs(c))) and np.all(support % 2 == 1):
+    # The round-off floor applies to variances c^2: recovered sequences
+    # carry c_0 = L sqrt(A_0) with A_0 at machine-noise scale, so O(eps)
+    # noise in A_0 shows in c_0 at about 1e-9 of the largest coefficient.
+    if c[0] ** 2 <= 1e-12 * float(np.max(c**2)) and np.all(support % 2 == 1):
         return Periodicity(kind=ANTIPERIODIC)
     return Periodicity(kind=MIXED)

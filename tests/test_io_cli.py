@@ -218,6 +218,29 @@ def test_study_command_summary(tmp_path):
     assert len(rows) == 41  # header + one row per replicate
 
 
+def test_study_refuses_single_replicate(tmp_path):
+    out = tmp_path / "study"
+    assert run("study", "--reps", 1, "--model-n", 24, "--out", out) == 1
+    assert not (out / "summary.json").exists()
+
+
+def test_write_json_refuses_nan(tmp_path):
+    with pytest.raises(ValueError):
+        io.write_json({"correlation": float("nan")}, tmp_path / "x.json")
+
+
+def test_fit_rejects_non_finite_samples(tmp_path, capsys):
+    f = tmp_path / "nan.csv"
+    f.write_text("t,value\n0,0.5\n0.25,nan\n0.5,0.1\n0.75,0.2\n")
+    assert run("fit", "--path", f, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "nan.csv" in err and "non-finite sample in data row 2" in err
+
+
+def test_condition_refuses_single_point_grid(tmp_path):
+    assert run("condition", "--coeffs", "1,0.5", "--grid", 1, "--out", tmp_path) == 1
+
+
 def test_bridge_demo(tmp_path):
     assert run("bridge-demo", "--trunc", 8, "--out", tmp_path) == 0
     demo = io.read_json(tmp_path / "bridge_demo.json")

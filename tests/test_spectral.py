@@ -1,5 +1,8 @@
 """Coefficient <-> covariogram conversions, conditioning, Fourier blocks."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,11 @@ from circlenoise import (
     condition_at_zero,
     covariogram_from_coeffs,
     fourier_matrices,
+    operator_oracle,
+    sample_H,
+    sample_H0,
 )
-from circlenoise.spectral import basis_matrices, trapezoid_nodes
+from circlenoise.spectral import basis_matrices, lag_table, trapezoid_nodes
 
 from conftest import conditioned_kernel, random_spectrum
 
@@ -177,3 +183,79 @@ def test_discretized_conditioned_kernel_near_psd(rng):
     grid = np.linspace(0.0, 1.0, 129)[:-1]
     eigs = np.linalg.eigvalsh(R.matrix(grid) / grid.size)
     assert eigs.min() >= -1e-8
+
+
+# --- lag-table tabulation against the pointwise path ---------------------
+
+# (K, n): n below 2K aliases frequencies at or above n / 2 onto the grid
+LAG_SIZES = [(0, 1), (3, 2), (5, 8), (7, 7), (9, 10), (20, 16), (40, 17), (64, 300)]
+
+
+def opaque(kernel):
+    return dataclasses.replace(kernel, spectrum=None)
+
+
+@pytest.mark.parametrize("L", [1.0, 2.0])
+@pytest.mark.parametrize("K,n", LAG_SIZES)
+def test_lag_table_matches_pointwise_covariogram(rng, K, n, L):
+    seq = random_spectrum(rng, K=K, L=L)
+    C = covariogram_from_coeffs(seq)
+    want = C.evaluate(np.arange(n) * (L / n))
+    np.testing.assert_allclose(lag_table(seq, n), want, rtol=0, atol=1e-12 * C.evaluate(0.0))
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("conditioned", [False, True])
+@pytest.mark.parametrize("L", [1.0, 2.0])
+@pytest.mark.parametrize("K,n", LAG_SIZES[1:])
+def test_grid_matrix_matches_pointwise_matrix(rng, K, n, L, conditioned, closed):
+    seq = random_spectrum(rng, K=K, L=L)
+    C = covariogram_from_coeffs(seq)
+    kernel = condition_at_zero(C) if conditioned else C
+    grid = np.linspace(0.0, L, n + 1)[: n + closed]
+    got = kernel.grid_matrix(n, closed)
+    assert got.shape == (grid.size, grid.size)
+    np.testing.assert_allclose(got, kernel.matrix(grid), rtol=0, atol=1e-12 * C.evaluate(0.0))
+    np.testing.assert_array_equal(opaque(kernel).grid_matrix(n, closed), kernel.matrix(grid))
+
+
+@pytest.mark.parametrize("L", [1.0, 2.0])
+@pytest.mark.parametrize("K,M", [(4, None), (16, 64), (33, 140)])
+def test_fourier_matrices_match_opaque_kernel(rng, K, M, L):
+    kernel = conditioned_kernel(random_spectrum(rng, K=K, L=L))
+    got = fourier_matrices(kernel, K=K, M=M)
+    want = fourier_matrices(opaque(kernel), K=K, M=M)
+    for block in ("rcc", "rss", "rsc", "rcs"):
+        np.testing.assert_allclose(
+            getattr(got, block), getattr(want, block), rtol=0, atol=1e-12 * want.scale()
+        )
+
+
+def test_operator_oracle_matches_opaque_kernel(rng):
+    kernel = conditioned_kernel(random_spectrum(rng, K=24, L=2.0))
+    got = operator_oracle(kernel, m=160)
+    want = operator_oracle(opaque(kernel), m=160)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want[0])
+
+
+@pytest.mark.parametrize("N", [64, 65])
+def test_sample_H0_matches_pointwise_conditioning(rng, N):
+    seq = random_spectrum(rng, K=20, L=2.0)
+    x = sample_H(seq, N, seed=11).values
+    profile = covariogram_from_coeffs(seq).evaluate(np.arange(N) * (2.0 / N))
+    want = x - x[0] * profile / profile[0]
+    got = sample_H0(seq, N, seed=11).values
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got[1:], want[1:], rtol=0, atol=1e-12 * np.abs(x).max())
+
+
+def test_fourier_matrices_memory_stays_quadratic_in_grid(rng):
+    # the pointwise path holds an (M+1)^2 x (K+1) cosine temporary: 2 GB here
+    kernel = conditioned_kernel(random_spectrum(rng, K=256))
+    tracemalloc.start()
+    try:
+        fourier_matrices(kernel, K=256, M=1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6

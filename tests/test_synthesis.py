@@ -128,6 +128,8 @@ def test_even_support_paths_repeat_on_half_turn():
         ([1.5], "periodic", 1),
         ([0.2, 0.0, 0.0, 1.0, 0.0, 0.0, 0.4], "periodic", 3),
         ([0.5, 1.0, 0.0, 0.5], "mixed", None),
+        # c_0 = L sqrt(A_0) with A_0 at rounding scale, as check_generator returns it
+        ([1e-9, 1.0, 0.0, 0.5, 0.0, 0.2], "antiperiodic", None),
     ],
 )
 def test_classify_periodicity(coeffs, kind, divisor):
