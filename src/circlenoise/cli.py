@@ -31,7 +31,7 @@ from .spectral import (
     covariogram_from_coeffs,
     fourier_matrices,
 )
-from .spectrum import conditioned_spectrum, operator_oracle, verify_interlacing
+from .spectrum import CLUSTER_TOL, conditioned_spectrum, operator_oracle, verify_interlacing
 from .synthesis import classify_periodicity, sample_H, sample_H0
 
 EXIT_OK = 0
@@ -99,8 +99,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum", type=str)
     p.add_argument("--coeffs", type=str)
     p.add_argument("--domain-length", type=float, default=None)
-    p.add_argument("--cluster-tol", type=float, default=None)
-    p.add_argument("--oracle-m", type=int, default=None, help="cross-check grid size")
+    p.add_argument(
+        "--cluster-tol",
+        type=float,
+        default=None,
+        help="relative tolerance: variances v_hi > v_lo count as repeated when "
+        f"v_hi - v_lo < tol * v_hi (default {CLUSTER_TOL:g})",
+    )
+    p.add_argument(
+        "--oracle-m",
+        type=int,
+        default=None,
+        help="cross-check grid size; at least 100 and 2K + 1",
+    )
     _add_common(p)
 
     p = sub.add_parser("regularity", help="predicted and empirical path regularity")
@@ -331,6 +342,14 @@ def cmd_spectrum(args) -> int:
     payload["interlacing"] = {"passed": report.passed, "violations": list(report.violations)}
 
     if params["oracle_m"]:
+        # m grid points resolve frequencies up to K only when m >= 2K + 1,
+        # which also leaves room for every analytic eigenvalue (at most 2K)
+        m_min = max(100, 2 * seq.truncation + 1)
+        if int(params["oracle_m"]) < m_min:
+            raise ConfigError(
+                f"--oracle-m {params['oracle_m']} cannot resolve frequency "
+                f"{seq.truncation}: use --oracle-m {m_min} or more"
+            )
         kernel = condition_at_zero(covariogram_from_coeffs(seq))
         oracle = operator_oracle(kernel, int(params["oracle_m"]))
         analytic = system.all_eigenvalues()

@@ -197,8 +197,10 @@ def eigensystem_to_dict(sys_: EigenSystem) -> dict:
         "truncation": sys_.truncation,
         "diagnostics": {
             "secular_residuals": [float(r) for r in sys_.diagnostics["secular_residuals"]],
+            "secular_iterations": int(sys_.diagnostics["secular_iterations"]),
             "gaps": [[float(a), float(b)] for a, b in sys_.diagnostics["gaps"]],
             "cluster_tol": float(sys_.diagnostics["cluster_tol"]),
+            "min_spacing_over_tol": sys_.diagnostics["min_spacing_over_tol"],
             "truncation_tail_bound": float(sys_.diagnostics["truncation_tail_bound"]),
         },
     }

@@ -270,6 +270,8 @@ def coeffs_from_covariogram(
 
     c_n^2 = L * integral_0^L C(s) cos(2 pi n s / L) ds, evaluated with the
     normalized trapezoid rule as L^2 * sum_i w_i C(t_i) cos(2 pi n t_i / L).
+    The rule's two end nodes share the cosine's value, so the sum is one
+    real FFT of the M samples with the end values averaged into the first.
     Squared coefficients that come out slightly negative (within CLAMP_REL
     of C(0)) are clamped to zero and reported; materially negative values
     raise NotPositiveDefinite.
@@ -284,11 +286,11 @@ def coeffs_from_covariogram(
         raise PreconditionViolation(f"need M >= 4K for reliable quadrature, got M={M}, K={K}")
 
     L = kernel.domain_length
-    t, w = trapezoid_nodes(L, M)
+    t, _ = trapezoid_nodes(L, M)
     vals = np.asarray(kernel.evaluate(t), dtype=float)
-    n = np.arange(K + 1, dtype=float)
-    cosines = np.cos((2.0 * np.pi / L) * np.multiply.outer(n, t))
-    c2 = L**2 * (cosines @ (w * vals))
+    samples = vals[:M].copy()
+    samples[0] = 0.5 * (vals[0] + vals[M])
+    c2 = L**2 * np.fft.rfft(samples).real[: K + 1] / M
 
     c0_scale = abs(float(vals[0]))
     clamp = CLAMP_REL * max(c0_scale, 1e-300)

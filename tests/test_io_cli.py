@@ -173,6 +173,20 @@ def test_spectrum_command_reports_interlacing(tmp_path):
         assert abs(residual) < 1e-9
 
 
+@pytest.mark.parametrize("m", [100, 256])
+def test_spectrum_oracle_grid_too_coarse_is_refused(tmp_path, capsys, m):
+    # K=128 has 256 analytic eigenvalues: m=100 crashed comparing them, and
+    # m=256 loses the frequency-128 sine (max_rel_diff 9e27)
+    coeffs = ",".join(["0.3"] + [f"{1 / k:.6f}" for k in range(1, 129)])
+    code = run("spectrum", "--coeffs", coeffs, "--oracle-m", m, "--out", tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"--oracle-m {m} cannot resolve frequency 128: use --oracle-m 257 or more" in err
+    assert not (tmp_path / "eigensystem.json").exists()
+    assert run("spectrum", "--coeffs", coeffs, "--oracle-m", 257, "--out", tmp_path) == 0
+    assert io.read_json(tmp_path / "eigensystem.json")["oracle"]["max_rel_diff"] < 1e-10
+
+
 def test_regularity_command(tmp_path):
     run("synth", "--coeffs", ",".join(["0"] + ["1"] * 64), "--grid", 4096, "--out", tmp_path)
     code = run(

@@ -259,3 +259,40 @@ def test_fourier_matrices_memory_stays_quadratic_in_grid(rng):
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+
+
+# --- forward transform against the trapezoid cosine sum -------------------
+
+
+def cosine_sum_coeffs(kernel, K, M):
+    # c_n^2 = L^2 sum_i w_i C(t_i) cos(2 pi n t_i / L), term by term
+    L = kernel.domain_length
+    t, w = trapezoid_nodes(L, M)
+    cosines = np.cos((2.0 * np.pi / L) * np.multiply.outer(np.arange(K + 1), t))
+    return L**2 * (cosines @ (w * kernel.evaluate(t)))
+
+
+def tilted_table_kernel(seq, points):
+    # linear interpolation of a sampled covariogram plus a small linear
+    # tilt, read without wrapping, so the table's end values differ
+    L = seq.domain_length
+    grid = np.linspace(0.0, L, points)
+    values = covariogram_from_coeffs(seq).evaluate(grid) + 1e-3 * grid / L
+    return CovarianceKernel(
+        evaluate=lambda tau: np.interp(tau, grid, values), domain_length=L, grid_resolution=points
+    )
+
+
+@pytest.mark.parametrize("L", [1.0, 2.0])
+@pytest.mark.parametrize("K,M", [(20, None), (20, 80), (7, 45)])
+def test_coeffs_from_covariogram_is_the_trapezoid_cosine_sum(rng, K, M, L):
+    seq = SpectralSequence(rng.uniform(0.5, 2.0, size=K + 1), domain_length=L)
+    quad = max(4 * K, 512) if M is None else M
+    for kernel in (covariogram_from_coeffs(seq), tilted_table_kernel(seq, 61)):
+        ends = kernel.evaluate(np.array([0.0, L]))
+        want = cosine_sum_coeffs(kernel, K, quad)
+        assert want.min() > 0.0
+        got = coeffs_from_covariogram(kernel, K, M=M).coeffs ** 2
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * ends[0])
+    # the table kernel is not periodic on its own grid
+    assert ends[0] != ends[1]

@@ -1,5 +1,7 @@
 """Secular-equation spectrum of the conditioned operator vs a dense oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from circlenoise import (
     secular_value,
     verify_interlacing,
 )
+
+from circlenoise.spectrum import GRAY_ZONE_FACTOR
 
 from conftest import conditioned_kernel, random_spectrum
 
@@ -150,3 +154,105 @@ def test_interlacing_detects_corruption():
 def test_all_zero_sequence_rejected():
     with pytest.raises(Exception):
         conditioned_spectrum(SpectralSequence(np.zeros(3), domain_length=1.0))
+
+
+# --- the paper's power laws c_k = k^-p at realistic sizes -----------------
+
+
+def power_law(K, p, c0=0.37):
+    c = np.arange(K + 1, dtype=float)
+    c[1:] = c[1:] ** -p
+    c[0] = c0
+    return SpectralSequence(c, domain_length=1.0)
+
+
+def even_block(seq):
+    """Unit-variance a and u of the even block diag(a) - outer(u, u)."""
+    avals = seq.kl_variances()
+    a = avals / seq.total_variance()
+    u = a.copy()
+    u[1:] *= np.sqrt(2.0)
+    return a, u
+
+
+def dense_spectrum(seq):
+    # dense eigvalsh of the even block; its null vector (the constraint) dropped
+    a, u = even_block(seq)
+    even = np.linalg.eigvalsh(np.diag(a) - np.outer(u, u))[1:] * seq.total_variance()
+    sines = seq.kl_variances()[1:]
+    return np.sort(np.concatenate([even, sines[sines > 0.0]]))[::-1]
+
+
+@pytest.mark.parametrize("p", [0.5, 0.75, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("K", [64, 256, 1024, 4096])
+def test_power_law_eigensystem(K, p):
+    seq = power_law(K, p)
+    sys = conditioned_spectrum(seq)
+    assert verify_interlacing(sys, seq).passed
+    assert sys.diagnostics["min_spacing_over_tol"] >= GRAY_ZONE_FACTOR
+    assert 1 <= sys.diagnostics["secular_iterations"] <= 8
+    assert len(sys.diagnostics["gaps"]) == len(sys.even_pairs) == K
+
+    # the even eigenvectors are rows of one K x (K+1) array
+    F = sys.even_pairs[0][1].base
+    assert F.shape == (K, K + 1)
+    assert all(f.base is F for _, f in sys.even_pairs)
+
+    a, u = even_block(seq)
+    total = seq.total_variance()
+    lam = np.array([v for v, _ in sys.even_pairs]) / total
+    gram = F @ F.T
+    gram[np.diag_indices(K)] -= 1.0
+    assert np.abs(gram).max() <= 1e-12 * K
+    del gram
+    for i in range(0, K, 512):
+        B = F[i : i + 512]
+        residual = B * a - np.outer(B @ u, u) - lam[i : i + 512, None] * B
+        assert np.abs(residual).max() <= 1e-12
+    assert np.abs(F[:, 0] + np.sqrt(2.0) * F[:, 1:].sum(axis=1)).max() <= 1e-12
+    # the 0 root adds nothing to the trace of the even block
+    assert lam.sum() == pytest.approx(a.sum() - u @ u, rel=1e-12)
+    assert max(sys.diagnostics["secular_residuals"]) <= 1e-12
+
+    if K <= 1024 or p == 2.0:
+        dense = dense_spectrum(seq)
+        mine = sys.all_eigenvalues()
+        assert mine.shape == dense.shape
+        assert np.abs(mine - dense).max() <= 1e-10 * dense[0]
+
+
+def test_tiny_cluster_tol_keeps_power_law_orthonormal():
+    # k^-1.5 at K=1024 with every variance its own group: the per-gap
+    # solver returned max |F F^T - I| = 0.38 here
+    K = 1024
+    sys = conditioned_spectrum(power_law(K, 1.5), cluster_tol=1e-30)
+    F = np.array([f for _, f in sys.even_pairs])
+    assert F.shape == (K, K + 1)
+    assert np.abs(F @ F.T - np.eye(K)).max() <= 1e-12 * K
+
+
+def test_peak_memory_is_the_eigenvector_matrix():
+    # the K x (K+1) eigenvector matrix alone is 134 MB at K=4096
+    seq = power_law(4096, 1.0)
+    tracemalloc.start()
+    try:
+        conditioned_spectrum(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6
+
+
+def test_merged_variances_split_along_the_constraint_pattern():
+    # 0.2 and 0.2 (1 + 5e-10) share a group under the relative tolerance;
+    # the secular vectors stay orthogonal to its kept direction and vanish
+    # at the origin exactly
+    a = np.array([0.5, 0.2, 0.2 * (1.0 + 5e-10), 0.05])
+    seq = SpectralSequence(np.sqrt(a), domain_length=1.0)
+    sys = conditioned_spectrum(seq)
+    assert verify_interlacing(sys, seq).passed
+    ((_, count, basis),) = sys.multiplicity_pairs
+    assert count == 1
+    F = np.array([f for _, f in sys.even_pairs] + list(basis))
+    np.testing.assert_allclose(F @ F.T, np.eye(len(F)), atol=1e-14)
+    assert np.abs(F[:, 0] + np.sqrt(2.0) * F[:, 1:].sum(axis=1)).max() < 1e-14
