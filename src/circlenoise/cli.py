@@ -11,6 +11,7 @@ verdict (no generator exists, no extension exists).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -200,6 +201,17 @@ def _kernel_from_params(params: dict):
     raise ConfigError("no kernel given: use --kernel, --spectrum, or --coeffs")
 
 
+def _check_power_law(params: dict, amplitude: str = "a") -> None:
+    """Refuse a power-law amplitude that is not finite and positive, or fewer than one frequency."""
+    a = params.get(amplitude)
+    if a is not None and not 0.0 < float(a) < math.inf:
+        flag = "--" + amplitude.replace("_", "-")
+        raise ConfigError(f"{flag} must be finite and positive, got {a}")
+    n = params.get("model_n")
+    if n is not None and int(n) < 1:
+        raise ConfigError(f"--model-n must be at least 1, got {n}")
+
+
 def _parse_p_list(text: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",") if x.strip()]
@@ -225,6 +237,7 @@ def cmd_synth(args) -> int:
             "out": ".",
         },
     )
+    _check_power_law(params)
     out = _out_dir(params)
     seed = int(params["seed"])
     written: list[str] = []
@@ -409,6 +422,7 @@ def cmd_fit(args) -> int:
         args,
         {"path": None, "known_p": None, "known_a": None, "out": ".", "seed": 0},
     )
+    _check_power_law(params, "known_a")
     out = _out_dir(params)
     path = io.read_path_csv(params["path"])
     o = energies(path)
@@ -433,6 +447,7 @@ def cmd_study(args) -> int:
         args,
         {"a": 1.0, "p": 1.0, "model_n": 40, "reps": 200, "seed": 0, "out": "."},
     )
+    _check_power_law(params)
     a0, p0 = float(params["a"]), float(params["p"])
     n, reps, seed = int(params["model_n"]), int(params["reps"]), int(params["seed"])
     if reps < 2:
@@ -470,8 +485,11 @@ def cmd_study(args) -> int:
             "n": n,
             "reps": reps,
             "correlation": corr,
+            "predicted_correlation": asym.fisher_correlation,
             "mean_a_hat": float(a_hats.mean()),
             "mean_p_hat": float(p_hats.mean()),
+            "sd_a_hat": float(a_hats.std(ddof=1)),
+            "sd_p_hat": float(p_hats.std(ddof=1)),
             "coverage95_p": coverage,
             "joint_std_p": asym.joint_std_p,
             "joint_std_a": asym.joint_std_a,

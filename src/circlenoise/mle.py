@@ -14,7 +14,11 @@ energies o_k = y1_k^2 + y2_k^2 the log-likelihood is
 Amplitude has a closed form at any fixed p, a_hat(p)^2
 = (1/2n) sum k^{2p} o_k, so the joint fit profiles a out and solves the
 1-D score 2 sum log k = 2n * (weighted mean of log k under weights
-k^{2p} o_k), which is strictly decreasing in p.
+k^{2p} o_k), which is strictly decreasing in p.  So is the score in p at
+a known amplitude.  Both exponent fits use one solver: Newton steps from
+the log-log least-squares slope of o_k against k, kept inside a bracket
+on p that starts as P_SEARCH (widened once to twice its size) and
+shrinks with the sign of the score, bisecting when a step leaves it.
 
 Draw order: z = standard_normal(2n) consumed as Y_k = z[2k-2],
 Y'_k = z[2k-1] (sine then cosine per frequency), Philox-keyed by seed.
@@ -26,13 +30,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AllZeroEnergies, LengthMismatch, NoRoot, NotConverged
-from .synthesis import SamplePath, rng_from_seed
+from .synthesis import GaussianDraw, SamplePath, _synthesize, rng_from_seed
 
 SCORE_TOL = 1e-8
 P_SEARCH = (-10.0, 10.0)
+# The exponent solver stops after a step of at most XTOL in p.
+XTOL = 1e-12
+MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -120,12 +126,8 @@ def sample_model(model: PowerLawModel, seed: int) -> SamplePath:
     n = model.n
     N = 2 * n + 1
     z = rng_from_seed(seed).standard_normal(2 * n)
-    Y = z[0::2]
-    Yp = z[1::2]
-    amp = model.amplitudes()
-    spec = np.zeros(n + 1, dtype=complex)
-    spec[1:] = (N / 2.0) * (amp * Yp - 1j * amp * Y)
-    values = np.fft.irfft(spec, n=N)
+    draw = GaussianDraw(Y=z[0::2], Yp=np.concatenate(([0.0], z[1::2])), seed=seed)
+    values = _synthesize(np.concatenate(([0.0], model.amplitudes())), draw, N)
     return SamplePath(
         grid_points=np.arange(N) / N,
         values=values,
@@ -202,23 +204,58 @@ def fit_known_p(o, p0: float) -> float:
     return float(math.sqrt(np.sum(k ** (2.0 * p0) * ovals) / (2.0 * n)))
 
 
-def _profile_score_factory(ovals: np.ndarray):
-    n = ovals.size
-    k = np.arange(1, n + 1, dtype=float)
-    logk = np.log(k)
-    two_s1 = 2.0 * logk.sum()
+def _log_slope_start(ovals: np.ndarray) -> float:
+    """Exponent from the least-squares line of log o_k against log k.
 
-    def g(p: float) -> float:
-        w = k ** (2.0 * p) * ovals
-        return two_s1 - 2.0 * n * float(np.sum(logk * w) / np.sum(w))
+    Under the model log o_k = const - 2p log k + noise, so minus half the
+    slope is a start within a few Newton steps of the root; fewer than two
+    positive energies give the bracket midpoint 0.
+    """
+    pos = np.nonzero(ovals > 0.0)[0]
+    if pos.size < 2:
+        return 0.0
+    logk = np.log(pos + 1.0)
+    logk -= logk.mean()
+    return float(-0.5 * (logk @ np.log(ovals[pos])) / (logk @ logk))
 
-    def g_prime(p: float) -> float:
-        w = k ** (2.0 * p) * ovals
-        mean = float(np.sum(logk * w) / np.sum(w))
-        second = float(np.sum(logk**2 * w) / np.sum(w))
-        return -4.0 * n * (second - mean**2)
 
-    return g, g_prime
+def _decreasing_root(f, start: float, label: str) -> tuple[float, int]:
+    """Root of a strictly decreasing f(p) -> (value, slope) by safeguarded Newton.
+
+    The bracket is P_SEARCH, widened once to twice its size when f has no
+    sign change there.  Newton steps from ``start`` shrink the bracket as
+    the sign of f is seen, and a step that leaves the bracket bisects it
+    instead ("rtsafe", Press et al., Numerical Recipes, section 9.4).
+    Stops once a step moves p by at most XTOL.  Returns the root and the
+    number of steps.
+    """
+    lo, hi = P_SEARCH
+    f_lo, f_hi = f(lo)[0], f(hi)[0]
+    if f_lo * f_hi > 0.0:
+        lo, hi = 2.0 * lo, 2.0 * hi
+        f_lo, f_hi = f(lo)[0], f(hi)[0]
+        if f_lo * f_hi > 0.0:
+            raise NoRoot(f"{label} has no sign change in [{lo}, {hi}]")
+    if f_lo == 0.0:
+        return lo, 0
+    if f_hi == 0.0:
+        return hi, 0
+    p = start if lo < start < hi else 0.5 * (lo + hi)
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        value, slope = f(p)
+        if value > 0.0:
+            lo = p
+        elif value < 0.0:
+            hi = p
+        else:
+            return p, iteration
+        step = p - value / slope if slope < 0.0 else math.nan
+        if not lo <= step <= hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - p) <= XTOL:
+            return step, iteration
+        p = step
+    raise NotConverged(f"{label}: no convergence in {MAX_ITERATIONS} steps")
 
 
 def fit_known_a(o, a0: float) -> float:
@@ -239,47 +276,42 @@ def fit_known_a(o, a0: float) -> float:
     logk = np.log(k)
     two_s1 = 2.0 * logk.sum()
 
-    def h(p: float) -> float:
-        return two_s1 - float(np.sum(logk * k ** (2.0 * p) * ovals)) / a0**2
+    def h(p: float) -> tuple[float, float]:
+        w = logk * k ** (2.0 * p) * ovals / a0**2
+        return two_s1 - float(w.sum()), -2.0 * float(logk @ w)
 
-    root = _bracketed_root(h, "known-amplitude score")
-    return float(root)
-
-
-def _bracketed_root(g, label: str) -> float:
-    lo, hi = P_SEARCH
-    if g(lo) * g(hi) > 0.0:
-        lo, hi = 2.0 * lo, 2.0 * hi
-        if g(lo) * g(hi) > 0.0:
-            raise NoRoot(f"{label} has no sign change in [{lo}, {hi}]")
-    return brentq(g, lo, hi, xtol=1e-12, maxiter=200)
+    return _decreasing_root(h, _log_slope_start(ovals), "known-amplitude score")[0]
 
 
 def fit_joint(o) -> FitResult:
     """Profile-likelihood joint fit of (a, p).
 
-    Brackets the strictly decreasing profile score on p in [-10, 10]
-    (widened once), polishes with guarded Newton steps, then recovers the
-    amplitude from its closed form at p_hat.  Needs energy at two or more
-    distinct frequencies.
+    Solves the strictly decreasing profile score
+    g(p) = 2 sum log k - 2n E_w[log k], g'(p) = -4n Var_w(log k), under the
+    weights w_k proportional to k^{2p} o_k, formed as
+    exp(2p log k + log o_k - max) so that no |p| overflows them, then
+    recovers the amplitude from its closed form at p_hat.  Needs energy at
+    two or more distinct frequencies.
     """
     ovals = _as_energy_array(o)
     if np.count_nonzero(ovals > 0.0) < 2:
         raise AllZeroEnergies("need positive energy at two distinct frequencies")
     n = ovals.size
+    logk = np.log(np.arange(1, n + 1, dtype=float))
+    logk2 = logk**2
+    two_s1 = 2.0 * logk.sum()
+    with np.errstate(divide="ignore"):
+        logo = np.log(ovals)
 
-    g, g_prime = _profile_score_factory(ovals)
-    p_hat = _bracketed_root(g, "profile score")
+    def g(p: float) -> tuple[float, float]:
+        e = 2.0 * p * logk + logo
+        w = np.exp(e - e.max())
+        total = w.sum()
+        mean = (logk @ w) / total
+        second = (logk2 @ w) / total
+        return two_s1 - 2.0 * n * mean, -4.0 * n * (second - mean**2)
 
-    iterations = 0
-    for _ in range(4):
-        resid = g(p_hat)
-        if abs(resid) < 1e-14:
-            break
-        step = resid / g_prime(p_hat)
-        p_hat = p_hat - step
-        iterations += 1
-
+    p_hat, iterations = _decreasing_root(g, _log_slope_start(ovals), "profile score")
     a_hat = fit_known_p(ovals, p_hat)
     s_a, s_p = score(ovals, a_hat, p_hat)
     converged = max(abs(s_a), abs(s_p)) < SCORE_TOL

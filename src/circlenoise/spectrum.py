@@ -52,6 +52,7 @@ GRAY_ZONE_FACTOR = 10.0
 BLOCK_ROWS = 32
 MAX_SECULAR_ITERATIONS = 64
 _EPS = np.finfo(float).eps
+_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -290,7 +291,10 @@ def conditioned_spectrum(
     CLUSTER_TOL = 2e-9), and relative spacings in [cluster_tol,
     GRAY_ZONE_FACTOR * cluster_tol) raise ClusterAmbiguity.  Eigenvalues
     are returned in the input's units; the secular solve itself runs at
-    C(0) = 1.
+    C(0) = 1.  A cluster_tol that is not finite and positive, or a positive
+    variance so small against C(0) that the solve would overflow (below
+    about 1e-291 C(0) at K = 2 and the default tolerance), raises
+    PreconditionViolation.
     """
     avals = seq.kl_variances()
     c0_total = float(avals[0] + 2.0 * avals[1:].sum())
@@ -299,6 +303,24 @@ def conditioned_spectrum(
     a = avals / c0_total
     if cluster_tol is None:
         cluster_tol = CLUSTER_TOL
+    if not 0.0 < cluster_tol < np.inf:
+        raise PreconditionViolation(f"cluster_tol must be finite and positive, got {cluster_tol}")
+    # The solve squares sqrt(V_g)/(d_g - x), where V_g = d_g n_g with
+    # d_g = a_k/C(0), and the pattern norms n_g add up to at most
+    # M = 2K + 1.  Poles kept apart differ by a relative rho, at least
+    # GRAY_ZONE_FACTOR * cluster_tol and at least eps/2 as distinct
+    # doubles, so near d_g the other terms of h(x) add up to at most 2M/rho
+    # and the root stays V_g rho/(2M) from d_g: the squares stay below
+    # (2M/rho)^2 / d_g, finite above this floor.
+    rho = max(GRAY_ZONE_FACTOR * cluster_tol, 0.5 * _EPS)
+    floor = (2.0 * (2 * seq.truncation + 1) / rho) ** 2 / _MAX
+    tiny = np.nonzero((a > 0.0) & (a < floor))[0]
+    if tiny.size:
+        k = int(tiny[0])
+        raise PreconditionViolation(
+            f"variance a_{k} is {a[k]:.3e} of C(0), below the floor {floor:.3e} "
+            "where the secular solve's squared terms overflow"
+        )
 
     sine_pairs = tuple(
         (float(avals[k]), int(k)) for k in range(1, avals.size) if avals[k] > 0.0

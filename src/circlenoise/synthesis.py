@@ -12,6 +12,8 @@ seed, so streams are stable under numpy upgrades of the default generator.
 
 Sampling evaluates x_t on the closed-open uniform grid t_i = i L / N via an
 inverse real FFT, which is exact (to rounding) whenever N >= 2 (K + 1).
+The power-law sampler ``mle.sample_model`` draws in its own documented
+order and calls the same FFT body, ``_synthesize``.
 """
 
 from __future__ import annotations
@@ -114,16 +116,16 @@ def draw_coefficients(K: int, seed: int) -> GaussianDraw:
     return GaussianDraw(Y=Y, Yp=Yp, seed=seed)
 
 
-def _synthesize(seq: SpectralSequence, draw: GaussianDraw, N: int) -> np.ndarray:
-    """Evaluate the truncated expansion on the N-point grid by inverse FFT."""
-    K = seq.truncation
-    L = seq.domain_length
-    c = seq.coeffs
+def _synthesize(scale: np.ndarray, draw: GaussianDraw, N: int) -> np.ndarray:
+    """Evaluate scale_0 Y'_0 + sum_k scale_k (Y_k sin + Y'_k cos) on the N-point grid.
+
+    One inverse real FFT; ``scale`` has K + 1 entries and frequency k lands
+    in bin k, so N >= 2K + 1 keeps every frequency apart.
+    """
+    K = draw.truncation
     spec = np.zeros(N // 2 + 1, dtype=complex)
-    spec[0] = N * c[0] * draw.Yp[0] / L
-    if K:
-        amp = (N / 2.0) * math.sqrt(2.0) * c[1:] / L
-        spec[1 : K + 1] = amp * (draw.Yp[1:] - 1j * draw.Y)
+    spec[0] = N * scale[0] * draw.Yp[0]
+    spec[1 : K + 1] = (N / 2.0) * (scale[1:] * (draw.Yp[1:] - 1j * draw.Y))
     return np.fft.irfft(spec, n=N)
 
 
@@ -150,8 +152,10 @@ def sample_H(
     elif draw.truncation != K:
         raise ValueError("draw truncation does not match the sequence")
 
-    values = _synthesize(seq, draw, N)
     L = seq.domain_length
+    scale = math.sqrt(2.0) * seq.coeffs / L
+    scale[0] = seq.coeffs[0] / L
+    values = _synthesize(scale, draw, N)
     step = L / N
     grid = np.arange(N) * step
     tag = model_tag or f"H(K={K},L={L:g})"

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from circlenoise import (
+    PowerLawModel,
     SpectralSequence,
+    asymptotics,
     brownian_bridge_kernel,
     condition_at_zero,
     covariogram_from_coeffs,
@@ -230,6 +232,47 @@ def test_study_command_summary(tmp_path):
     assert 0.0 <= summary["coverage95_p"] <= 1.0
     rows = (tmp_path / "study.csv").read_text().strip().splitlines()
     assert len(rows) == 41  # header + one row per replicate
+
+
+def test_study_summary_matches_its_table(tmp_path):
+    assert run("study", "--model-n", 24, "--reps", 30, "--seed", 3, "--out", tmp_path) == 0
+    summary = io.read_json(tmp_path / "summary.json")
+    table = np.loadtxt(tmp_path / "study.csv", delimiter=",", skiprows=1)
+    assert summary["sd_a_hat"] == float(table[:, 1].std(ddof=1))
+    assert summary["sd_p_hat"] == float(table[:, 2].std(ddof=1))
+    predicted = asymptotics(PowerLawModel(a=1.0, p=1.0, n=24)).fisher_correlation
+    assert summary["predicted_correlation"] == predicted
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["fit", "--known-a", -1], "--known-a"),
+        (["fit", "--known-a", "nan"], "--known-a"),
+        (["synth", "--a", 0, "--p", 1, "--model-n", 8], "--a"),
+        (["synth", "--a", 1, "--p", 1, "--model-n", 0], "--model-n"),
+        (["study", "--a", -1], "--a"),
+        (["study", "--a", "inf"], "--a"),
+        (["study", "--model-n", 0], "--model-n"),
+    ],
+)
+def test_power_law_flags_refused_before_output(tmp_path, capsys, argv, flag):
+    run("synth", "--a", 1, "--p", 1, "--model-n", 8, "--out", tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    if argv[0] == "fit":
+        argv = argv + ["--path", tmp_path / "path.csv"]
+    assert run(*argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not out.exists()
+
+
+def test_spectrum_refuses_zero_cluster_tol(tmp_path, capsys):
+    code = run("spectrum", "--coeffs", "1,0.5,0.5,0.2", "--cluster-tol", 0, "--out", tmp_path)
+    assert code == 1
+    assert "cluster_tol must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "eigensystem.json").exists()
 
 
 def test_study_refuses_single_replicate(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.optimize import brentq
 
 from circlenoise import (
     AllZeroEnergies,
@@ -22,6 +23,7 @@ from circlenoise import (
     sample_model,
     score,
 )
+from circlenoise.mle import P_SEARCH
 
 
 def model_energies(a, p, n, seed):
@@ -177,3 +179,43 @@ def test_pathological_energies_report_no_root():
 def test_energy_container_validation():
     with pytest.raises(ValueError):
         FrequencyEnergies(o=np.ones(3), y1=np.ones(2), y2=np.ones(3), n=3)
+
+
+def seeded_energies(a, p, n, seed):
+    z = rng_from_seed(seed).standard_normal(2 * n)
+    return (a / np.arange(1, n + 1, dtype=float) ** p) ** 2 * (z[0::2] ** 2 + z[1::2] ** 2)
+
+
+def brentq_root(f):
+    lo, hi = P_SEARCH
+    if f(lo) * f(hi) > 0.0:
+        lo, hi = 2.0 * lo, 2.0 * hi
+    return brentq(f, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps, maxiter=500)
+
+
+@pytest.mark.parametrize(
+    "n, p, seed",
+    [(2, 1.0, 3), (40, 1.0, 4), (40, 0.4, 5), (1000, 1.0, 6), (4000, 1.5, 7), (40, 12.0, 8)],
+)
+def test_exponent_solver_matches_brentq(n, p, seed):
+    # the last case puts both roots in the widened bracket
+    a0 = 0.8
+    o = seeded_energies(a0, p, n, seed)
+    k = np.arange(1, n + 1, dtype=float)
+    logk = np.log(k)
+
+    def profile(q):
+        w = k ** (2.0 * q) * o
+        return 2.0 * logk.sum() - 2.0 * n * np.sum(logk * w) / np.sum(w)
+
+    def known_a(q):
+        return 2.0 * logk.sum() - np.sum(logk * k ** (2.0 * q) * o) / a0**2
+
+    p_ref = brentq_root(profile)
+    fit = fit_joint(o)
+    assert fit.p_hat == pytest.approx(p_ref, abs=1e-12)
+    assert fit.a_hat == pytest.approx(math.sqrt(np.sum(k ** (2.0 * p_ref) * o) / (2 * n)), rel=1e-12)
+    assert 1 <= fit.iterations <= 8
+    assert fit_known_a(o, a0) == pytest.approx(brentq_root(known_a), abs=1e-12)
+    if p > 10.0:
+        assert p_ref > P_SEARCH[1]

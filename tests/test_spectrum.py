@@ -1,12 +1,14 @@
 """Secular-equation spectrum of the conditioned operator vs a dense oracle."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from circlenoise import (
     ClusterAmbiguity,
+    PreconditionViolation,
     SpectralSequence,
     conditioned_spectrum,
     operator_oracle,
@@ -256,3 +258,21 @@ def test_merged_variances_split_along_the_constraint_pattern():
     F = np.array([f for _, f in sys.even_pairs] + list(basis))
     np.testing.assert_allclose(F @ F.T, np.eye(len(F)), atol=1e-14)
     assert np.abs(F[:, 0] + np.sqrt(2.0) * F[:, 1:].sum(axis=1)).max() < 1e-14
+
+
+def test_variance_below_the_overflow_floor_is_refused():
+    # a_1 = 1e-320 C(0) overflowed sqrt(V)^2 / (d - x)^2 in the solve
+    seq = SpectralSequence([1.0, 1e-160, 1e-155], domain_length=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionViolation, match=r"variance a_1 is 1\.000e-320 of C\(0\)"):
+            conditioned_spectrum(seq)
+
+
+def test_small_variances_above_the_floor_still_solve():
+    seq = SpectralSequence([1.0, 1e-140, 1e-135], domain_length=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sys = conditioned_spectrum(seq)
+    assert verify_interlacing(sys, seq).passed
+    assert sys.all_eigenvalues()[-1] > 0.0
